@@ -78,8 +78,6 @@ _SCHEMA: dict[str, tuple] = {
     "picard.quad_points": ("int", 129),
     "dissipativity.kind": ("choice:nonexplosion,affine", "affine"),
     "dissipativity.probes": ("int", 32),
-    "equivalence.t": ("float", None),
-    "equivalence.M": ("int", None),
     "output.dir": ("str", "out"),
 }
 
@@ -252,7 +250,7 @@ def _validate_semantics(values: dict, source_lines: dict, errors: list[str]) -> 
     dim = values.get("model.dim")
     if dim is not None and dim < 2:
         errors.append(f"{where('model.dim')}model.dim must be >= 2, got {dim}")
-    for key in ("run.M", "stationary.M", "equivalence.M"):
+    for key in ("run.M", "stationary.M"):
         val = values.get(key)
         if val is not None and val < 1:
             errors.append(f"{where(key)}{key} must be >= 1")

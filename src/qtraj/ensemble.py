@@ -1,9 +1,11 @@
 """Monte Carlo ensembles of trajectories and the estimators built on them.
 
-A batch holds the saved states of every trajectory, indexed (trajectory,
-save time).  All reductions (density reconstruction, observable means,
-standard errors) run over a fixed pairwise tree keyed by trajectory index,
-so results are bit-identical no matter how many threads computed the
+``drive_ensemble`` integrates the trajectories, applies the fault policy and
+hands each trajectory's saved states to a reduction the caller supplies;
+``run_ensemble`` is the reduction that keeps them all, indexed (trajectory,
+save time).  Every cross-trajectory reduction (density reconstruction,
+``mean_and_stderr``) runs over a fixed pairwise tree keyed by trajectory
+index, so results are bit-identical no matter how many threads computed the
 trajectories or in which order they finished.
 
 The mean dyad of linear trajectories estimates rho_t; the weighted check at
@@ -85,30 +87,32 @@ def point_sampler(vec: np.ndarray):
     return lambda seed: frozen
 
 
-def run_ensemble(
+def drive_ensemble(
     model: ModelSpec,
     initial_sampler,
     grid: TimeGrid,
     kind: str,
     n_traj: int,
     base_seed: int,
+    reduce,
     threads: int = 1,
-) -> TrajectoryBatch:
-    """Simulate ``n_traj`` independent trajectories.
+) -> tuple[np.ndarray, list, np.ndarray]:
+    """Integrate ``n_traj`` independent trajectories, reducing each as it ends.
 
     Trajectory i draws its noise from NoiseStream(base_seed, i) and its
-    initial state from initial_sampler(i); both are pure functions, so the
-    batch is reproducible and independent of ``threads`` and of scheduling.
-    Faulted trajectories are masked and counted; more than 1% of them is an
-    AggregateFaultError.
+    initial state from initial_sampler(i); both are pure functions, so every
+    trajectory is independent of ``threads`` and of scheduling.
+    ``reduce(i, block)`` gets the (n_save, dim) saved states of each
+    unfaulted trajectory; under threads it runs concurrently, so it writes
+    only to slots owned by i.  More than 1% faults is an AggregateFaultError.
+
+    Returns (fault_mask, faults, drifts): faults as (index, step, reason) in
+    index order, drifts each trajectory's mean pre-normalization norm drift.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    d = model.dim
-    n_save = grid.n_save
-    states = np.zeros((n_traj, n_save, d), dtype=complex)
     drifts = np.zeros(n_traj)
     fault_mask = np.zeros(n_traj, dtype=bool)
     faults_by_index: dict[int, tuple] = {}
@@ -116,18 +120,18 @@ def run_ensemble(
     def worker(i: int) -> None:
         x0 = np.asarray(initial_sampler(i), dtype=complex)
         noise = NoiseStream(base_seed, i)
-        row = states[i]
+        block = np.empty((grid.n_save, model.dim), dtype=complex)
 
         def on_save(si, t, vec, nrm):
-            row[si] = vec
+            block[si] = vec
 
         try:
-            mean_drift, _ = propagate(model, x0, grid, kind, noise, on_save)
-            drifts[i] = mean_drift
+            drifts[i], _ = propagate(model, x0, grid, kind, noise, on_save)
         except IntegrationFault as fault:
             fault_mask[i] = True
-            row[:] = 0.0
             faults_by_index[i] = (i, fault.step, fault.reason)
+            return
+        reduce(i, block)
 
     if threads == 1:
         for i in range(n_traj):
@@ -142,6 +146,31 @@ def run_ensemble(
             f"{len(faults)} of {n_traj} trajectories faulted "
             f"(limit {FAULT_FRACTION_LIMIT:.0%}); first: {faults[0]}"
         )
+    return fault_mask, faults, drifts
+
+
+def run_ensemble(
+    model: ModelSpec,
+    initial_sampler,
+    grid: TimeGrid,
+    kind: str,
+    n_traj: int,
+    base_seed: int,
+    threads: int = 1,
+) -> TrajectoryBatch:
+    """Simulate ``n_traj`` independent trajectories and keep every saved state.
+
+    The (n_traj, n_save, dim) batch of ``drive_ensemble``'s trajectories;
+    faulted rows stay zero.
+    """
+    states = np.zeros((n_traj, grid.n_save, model.dim), dtype=complex)
+
+    def keep(i, block):
+        states[i] = block
+
+    fault_mask, faults, drifts = drive_ensemble(
+        model, initial_sampler, grid, kind, n_traj, base_seed, keep, threads=threads
+    )
     ok = ~fault_mask
     mean_drift = float(pairwise_sum(drifts[ok]) / ok.sum()) if kind == "nonlinear" else None
     return TrajectoryBatch(
@@ -175,19 +204,24 @@ def reconstruct_density(batch: TrajectoryBatch, t: float) -> EnsembleDensity:
     return EnsembleDensity(rho=dm, t=t, m_effective=m_eff)
 
 
-def _quadratic_form(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+def quadratic_form(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
     """<psi_i, A psi_i> for every row, as a complex vector."""
     return np.einsum("md,de,me->m", rows.conj(), a, rows, optimize=True)
 
 
-def _mean_and_stderr(vals: np.ndarray) -> tuple[complex, float]:
+def mean_and_stderr(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over axis 0 and the standard error of that mean.
+
+    Both sums run over the fixed pairwise tree: mean = sum(v) / m and
+    stderr = sqrt((sum |v - mean|^2 / (m - 1)) / m), zero when m < 2.
+    """
+    vals = np.asarray(vals)
     m = vals.shape[0]
     mean = pairwise_sum(vals) / m
     if m < 2:
-        return complex(mean), 0.0
-    dev_sq = np.abs(vals - mean) ** 2
-    var = pairwise_sum(dev_sq) / (m - 1)
-    return complex(mean), float(np.sqrt(var / m))
+        return mean, np.zeros(np.shape(mean))
+    var = pairwise_sum(np.abs(vals - mean) ** 2) / (m - 1)
+    return mean, np.sqrt(var / m)
 
 
 def observable_mean(batch: TrajectoryBatch, a_obs, t: float) -> ObservableEstimate:
@@ -200,9 +234,8 @@ def observable_mean(batch: TrajectoryBatch, a_obs, t: float) -> ObservableEstima
     rows = batch.states_at(t)
     if rows.shape[0] == 0:
         raise ValueError("no unfaulted trajectories to average")
-    vals = _quadratic_form(rows, a)
-    mean, stderr = _mean_and_stderr(vals)
-    return ObservableEstimate(value=mean, stderr=stderr, m_effective=rows.shape[0])
+    mean, stderr = mean_and_stderr(quadratic_form(rows, a))
+    return ObservableEstimate(value=complex(mean), stderr=float(stderr), m_effective=rows.shape[0])
 
 
 @dataclass(frozen=True)
@@ -250,21 +283,34 @@ def weighted_equivalence_check(
     lin = run_ensemble(model, sampler, grid, "linear", n_traj, base_seed, threads=threads)
     non = run_ensemble(model, sampler, grid, "nonlinear", n_traj, base_seed + 1, threads=threads)
     lin_rows = lin.states_at(t)
-    norm_sq = (lin_rows.real**2 + lin_rows.imag**2).sum(axis=1)
-    if np.all(norm_sq < NORM_SQ_FLOOR):
+    return equivalence_report(
+        quadratic_form(lin_rows, f),
+        (lin_rows.real**2 + lin_rows.imag**2).sum(axis=1),
+        quadratic_form(non.states_at(t), f),
+        t,
+    )
+
+
+def equivalence_report(
+    lin_vals: np.ndarray, lin_norm_sq: np.ndarray, non_vals: np.ndarray, t: float
+) -> EquivalenceReport:
+    """The weighted-versus-normalized comparison from per-trajectory values at t.
+
+    ``lin_vals`` are <X, f X> and ``lin_norm_sq`` |X|^2 of the unfaulted
+    linear trajectories, ``non_vals`` <Y, f Y> of the nonlinear ones.
+    """
+    if np.all(lin_norm_sq < NORM_SQ_FLOOR):
         raise ValueError("degenerate linear ensemble: every squared norm below 1e-12")
     # |X|^2 <Xhat, f Xhat> = <X, f X>, with the floor sending dead paths to 0.
-    lin_vals = np.where(norm_sq >= NORM_SQ_FLOOR, _quadratic_form(lin_rows, f), 0.0)
-    lhs, lhs_stderr = _mean_and_stderr(lin_vals)
-    non_vals = _quadratic_form(non.states_at(t), f)
-    rhs, rhs_stderr = _mean_and_stderr(non_vals)
+    lhs, lhs_stderr = mean_and_stderr(np.where(lin_norm_sq >= NORM_SQ_FLOOR, lin_vals, 0.0))
+    rhs, rhs_stderr = mean_and_stderr(non_vals)
     return EquivalenceReport(
-        lhs=lhs,
-        rhs=rhs,
-        lhs_stderr=lhs_stderr,
-        rhs_stderr=rhs_stderr,
+        lhs=complex(lhs),
+        rhs=complex(rhs),
+        lhs_stderr=float(lhs_stderr),
+        rhs_stderr=float(rhs_stderr),
         combined_stderr=float(np.hypot(lhs_stderr, rhs_stderr)),
         t=t,
-        m_linear=lin.m_effective,
-        m_nonlinear=non.m_effective,
+        m_linear=len(lin_vals),
+        m_nonlinear=len(non_vals),
     )

@@ -84,13 +84,10 @@ def vectorize_lindbladian(model: ModelSpec) -> Superoperator:
 
 
 def vectorize_heisenberg(model: ModelSpec) -> Superoperator:
-    """Adjoint (observable-side) generator as a dim^2 x dim^2 matrix."""
-    d = model.dim
-    eye = np.eye(d)
-    s = np.kron(model.G.T, eye) + np.kron(eye, dagger(model.G))
-    for l in model.L:
-        s = s + np.kron(l.T, dagger(l))
-    return Superoperator(s, d)
+    """Adjoint (observable-side) generator as a dim^2 x dim^2 matrix: the
+    conjugate transpose of the master-equation generator's, since
+    tr(A* L(X)) = tr(L*(A)* X)."""
+    return Superoperator(vectorize_lindbladian(model).matrix.conj().T, model.dim)
 
 
 def _generator_norm_bound(model: ModelSpec) -> float:
@@ -199,14 +196,18 @@ def solve_heisenberg(model: ModelSpec, a_obs, grid: TimeGrid) -> PropagatedFamil
     )
 
 
+def duality_sides(fam_rho: PropagatedFamily, fam_obs: PropagatedFamily) -> tuple:
+    """tr(A rho_t) and tr(T_t(A) rho_0) at every save time, where rho_0 and A
+    are the initial data of the master and Heisenberg families."""
+    a, rho = fam_obs.values[0], fam_rho.values[0]
+    return np.einsum("ij,tji->t", a, fam_rho.values), np.einsum("tij,ji->t", fam_obs.values, rho)
+
+
 def duality_check(model: ModelSpec, a_obs, rho0, grid: TimeGrid) -> float:
     """max_t |tr(A rho_t) - tr(T_t(A) rho_0)| over the grid's save times."""
     a = a_obs.matrix if isinstance(a_obs, Op) else np.asarray(a_obs, dtype=complex)
     rho = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
-    fam_rho = solve_master(model, rho, grid)
-    fam_obs = solve_heisenberg(model, a, grid)
-    lhs = np.einsum("ij,tji->t", a, fam_rho.values)
-    rhs = np.einsum("tij,ji->t", fam_obs.values, rho)
+    lhs, rhs = duality_sides(solve_master(model, rho, grid), solve_heisenberg(model, a, grid))
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .ensemble import mean_and_stderr
 from .hilbert import ModelSpec, Op
 from .linalg import pairwise_sum
 from .noise import SAMPLER_DOMAIN, counter_uniforms, sampler_uniform
@@ -120,37 +121,43 @@ class RegularityTrace:
         return bool(self.truncation_unreliable.any())
 
 
+def c_moment_and_tail(states: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|C psi|^2 and the share of |psi|^2 on the top three basis indices,
+    for every state of a (..., dim) stack."""
+    cpsi = np.matmul(states, c.T)
+    c_vals = (cpsi.real**2 + cpsi.imag**2).sum(axis=-1)
+    probs = states.real**2 + states.imag**2
+    norm_sq = probs.sum(axis=-1)
+    top = probs[..., -TAIL_INDEX_COUNT:].sum(axis=-1)
+    return c_vals, top / np.where(norm_sq > 0, norm_sq, 1.0)  # a zero state has top = 0
+
+
+def trace_from_moments(times: np.ndarray, c_vals: np.ndarray, tail: np.ndarray) -> RegularityTrace:
+    """Reduce per-trajectory (m, n_save) values of ``c_moment_and_tail`` over
+    the trajectories; times with mean tail share above 1e-6 are flagged as
+    truncation-unreliable."""
+    m = c_vals.shape[0]
+    if m == 0:
+        raise ValueError("no unfaulted trajectories")
+    c_mean, c_stderr = mean_and_stderr(c_vals)
+    tail_mass = pairwise_sum(tail, axis=0) / m
+    return RegularityTrace(
+        times=times,
+        c_mean=c_mean,
+        c_stderr=c_stderr,
+        tail_mass=tail_mass,
+        truncation_unreliable=tail_mass > TAIL_MASS_LIMIT,
+    )
+
+
 def regularity_trace(batch, c_op=None) -> RegularityTrace:
     """E|C psi|^2 with stderr at every save time, plus the mean probability
     mass on the top three basis indices; times with tail mass above 1e-6 are
     flagged as truncation-unreliable."""
     model = batch.model
     c = model.C if c_op is None else (c_op.matrix if isinstance(c_op, Op) else np.asarray(c_op))
-    rows_ok = ~batch.fault_mask
-    states = batch.states[rows_ok]  # (m, n_save, dim)
-    m = states.shape[0]
-    if m == 0:
-        raise ValueError("no unfaulted trajectories")
-    cpsi = np.matmul(states, c.T)
-    c_vals = (cpsi.real**2 + cpsi.imag**2).sum(axis=2)  # (m, n_save)
-    c_mean = pairwise_sum(c_vals, axis=0) / m
-    if m > 1:
-        dev = (c_vals - c_mean) ** 2
-        c_stderr = np.sqrt(pairwise_sum(dev, axis=0) / (m - 1) / m)
-    else:
-        c_stderr = np.zeros_like(c_mean)
-    norm_sq = (states.real**2 + states.imag**2).sum(axis=2)
-    top = (states.real**2 + states.imag**2)[:, :, -TAIL_INDEX_COUNT:].sum(axis=2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rel = np.where(norm_sq > 0, top / norm_sq, 0.0)
-    tail = pairwise_sum(rel, axis=0) / m
-    return RegularityTrace(
-        times=batch.grid.save_times,
-        c_mean=c_mean,
-        c_stderr=c_stderr,
-        tail_mass=tail,
-        truncation_unreliable=tail > TAIL_MASS_LIMIT,
-    )
+    states = batch.states[~batch.fault_mask]  # (m, n_save, dim)
+    return trace_from_moments(batch.grid.save_times, *c_moment_and_tail(states, c))
 
 
 @dataclass(frozen=True)

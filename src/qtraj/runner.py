@@ -14,16 +14,30 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .config import TASK_NAMES, RunConfig, build_model, initial_state
-from .ensemble import point_sampler, run_ensemble, weighted_equivalence_check
+from .ensemble import (
+    drive_ensemble,
+    equivalence_report,
+    mean_and_stderr,
+    point_sampler,
+    quadratic_form,
+)
 from .hilbert import DensityMatrix, build_fock_ops
-from .linalg import operator_norm, pairwise_sum
-from .oracle import minimal_semigroup_picard, solve_heisenberg, solve_master
-from .regularity import check_dissipativity, regularity_trace
+from .linalg import operator_norm
+from .oracle import (
+    PropagatedFamily,
+    duality_sides,
+    minimal_semigroup_picard,
+    solve_heisenberg,
+    solve_master,
+)
+from .regularity import c_moment_and_tail, check_dissipativity, trace_from_moments
 from .sde import TimeGrid
 from .stationary import estimate_stationary
 
@@ -79,8 +93,18 @@ def _write_matrix(path: str, mat: np.ndarray) -> None:
                 fh.write(f"{i},{j},{format(z.real, '.17g')},{format(z.imag, '.17g')}\n")
 
 
+# One (kind, seed) ensemble on the run grid: (m_effective, n_save) arrays of
+# <psi, N psi>, |psi|^2, |C psi|^2 and the share of |psi|^2 on the top three
+# basis indices, unfaulted trajectories in index order, plus the fault list.
+_EnsembleScalars = namedtuple("_EnsembleScalars", "obs norm_sq c_moment tail faults")
+
+
 class _RunContext:
-    """Everything the tasks share, derived once from the config."""
+    """Everything the tasks share, derived once from the config.
+
+    Ensembles and oracle flows are computed on first use and kept for the
+    rest of the run, so each is integrated or solved once.
+    """
 
     def __init__(self, config: RunConfig, out_dir: str, threads: int):
         self.config = config
@@ -88,50 +112,60 @@ class _RunContext:
         self.threads = threads
         self.model = build_model(config)
         self.x0 = initial_state(config, self.model.space)
+        self.rho0 = DensityMatrix.from_pure(self.x0).matrix
         self.number_op = build_fock_ops(self.model.space).n.matrix
         v = config.values
-        self.dt = v["run.dt"]
-        self.grid = TimeGrid(v["run.t_end"], dt=self.dt, save_every=v["run.save_every"])
+        self.grid = TimeGrid(v["run.t_end"], dt=v["run.dt"], save_every=v["run.save_every"])
         self.kind = v["run.kind"]
         self.n_traj = v["run.M"]
         self.base_seed = v["run.base_seed"]
+        self._ensembles: dict = {}
 
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
-
-    def ensemble_kinds(self) -> list:
-        return ["linear", "nonlinear"] if self.kind == "both" else [self.kind]
 
     def seed_for(self, kind: str) -> int:
         # keep the two unravelings on disjoint streams when both are run
         return self.base_seed + (1 if kind == "nonlinear" and self.kind == "both" else 0)
 
+    def ensemble(self, kind: str) -> _EnsembleScalars:
+        if kind in self._ensembles:
+            return self._ensembles[kind]
+        obs, norm_sq, c_moment, tail = np.zeros((4, self.n_traj, self.grid.n_save))
 
-def _norm_sq_stats(states_ok: np.ndarray):
-    norm_sq = (states_ok.real**2 + states_ok.imag**2).sum(axis=2)  # (m, S)
-    m = norm_sq.shape[0]
-    mean = pairwise_sum(norm_sq, axis=0) / m
-    if m > 1:
-        stderr = np.sqrt(pairwise_sum((norm_sq - mean) ** 2, axis=0) / (m - 1) / m)
-    else:
-        stderr = np.zeros_like(mean)
-    return mean, stderr
+        def reduce(i, block):
+            obs[i] = quadratic_form(block, self.number_op).real
+            norm_sq[i] = (block.real**2 + block.imag**2).sum(axis=1)
+            c_moment[i], tail[i] = c_moment_and_tail(block, self.model.C)
+
+        seed, sampler = self.seed_for(kind), point_sampler(self.x0)
+        fault_mask, faults, _ = drive_ensemble(
+            self.model, sampler, self.grid, kind, self.n_traj, seed, reduce, self.threads
+        )
+        ok = ~fault_mask
+        ens = _EnsembleScalars(obs[ok], norm_sq[ok], c_moment[ok], tail[ok], faults)
+        self._ensembles[kind] = ens
+        return ens
+
+    @cached_property
+    def master(self) -> PropagatedFamily:
+        return solve_master(self.model, self.rho0, self.grid)
+
+    @cached_property
+    def heisenberg(self) -> PropagatedFamily:
+        return solve_heisenberg(self.model, self.number_op, self.grid)
 
 
-def _obs_stats(states_ok: np.ndarray, a: np.ndarray):
-    vals = np.einsum("msd,de,mse->ms", states_ok.conj(), a, states_ok, optimize=True).real
-    m = vals.shape[0]
-    mean = pairwise_sum(vals, axis=0) / m
-    if m > 1:
-        stderr = np.sqrt(pairwise_sum((vals - mean) ** 2, axis=0) / (m - 1) / m)
-    else:
-        stderr = np.zeros_like(mean)
-    return mean, stderr
+def _norm_sq_stats(ens: _EnsembleScalars):
+    return mean_and_stderr(ens.norm_sq)
+
+
+def _obs_stats(ens: _EnsembleScalars):
+    return mean_and_stderr(ens.obs)
 
 
 def _task_master_oracle(ctx: _RunContext) -> tuple[list, int]:
-    rho0 = DensityMatrix.from_pure(ctx.x0)
-    fam = solve_master(ctx.model, rho0, ctx.grid)
+    fam = ctx.master
     n_mean = np.einsum("ij,tji->t", ctx.number_op, fam.values).real
     traces = np.einsum("tii->t", fam.values).real
     rows = [(t, n, tr) for t, n, tr in zip(fam.times, n_mean, traces)]
@@ -141,9 +175,8 @@ def _task_master_oracle(ctx: _RunContext) -> tuple[list, int]:
 
 
 def _task_heisenberg_oracle(ctx: _RunContext) -> tuple[list, int]:
-    fam = solve_heisenberg(ctx.model, ctx.number_op, ctx.grid)
-    rho0 = DensityMatrix.from_pure(ctx.x0).matrix
-    expect = np.einsum("tij,ji->t", fam.values, rho0).real
+    fam = ctx.heisenberg
+    expect = np.einsum("tij,ji->t", fam.values, ctx.rho0).real
     norms = np.array([operator_norm(m) for m in fam.values])
     rows = list(zip(fam.times, expect, norms))
     _write_csv(
@@ -156,12 +189,8 @@ def _task_heisenberg_oracle(ctx: _RunContext) -> tuple[list, int]:
 
 
 def _task_duality(ctx: _RunContext) -> tuple[list, int]:
-    rho0 = DensityMatrix.from_pure(ctx.x0).matrix
-    fam_rho = solve_master(ctx.model, rho0, ctx.grid)
-    fam_obs = solve_heisenberg(ctx.model, ctx.number_op, ctx.grid)
-    lhs = np.einsum("ij,tji->t", ctx.number_op, fam_rho.values).real
-    rhs = np.einsum("tij,ji->t", fam_obs.values, rho0).real
-    rows = [(t, a, b, abs(a - b)) for t, a, b in zip(fam_rho.times, lhs, rhs)]
+    lhs, rhs = duality_sides(ctx.master, ctx.heisenberg)
+    rows = [(t, a, b, abs(a - b)) for t, a, b in zip(ctx.grid.save_times, lhs.real, rhs.real)]
     _write_csv(
         ctx.path("duality.residual.csv"),
         ["t", "master_side", "heisenberg_side", "abs_diff"],
@@ -173,21 +202,12 @@ def _task_duality(ctx: _RunContext) -> tuple[list, int]:
 def _task_ensemble(ctx: _RunContext) -> tuple[list, int]:
     files = []
     faults = 0
-    for kind in ctx.ensemble_kinds():
-        batch = run_ensemble(
-            ctx.model,
-            point_sampler(ctx.x0),
-            ctx.grid,
-            kind,
-            ctx.n_traj,
-            ctx.seed_for(kind),
-            threads=ctx.threads,
-        )
-        faults += len(batch.faults)
-        states_ok = batch.states[~batch.fault_mask]
-        obs_mean, obs_err = _obs_stats(states_ok, ctx.number_op)
-        nrm_mean, nrm_err = _norm_sq_stats(states_ok)
-        rows = list(zip(batch.grid.save_times, obs_mean, obs_err, nrm_mean, nrm_err))
+    for kind in ["linear", "nonlinear"] if ctx.kind == "both" else [ctx.kind]:
+        ens = ctx.ensemble(kind)
+        faults += len(ens.faults)
+        obs_mean, obs_err = _obs_stats(ens)
+        nrm_mean, nrm_err = _norm_sq_stats(ens)
+        rows = list(zip(ctx.grid.save_times, obs_mean, obs_err, nrm_mean, nrm_err))
         name = f"ensemble.{kind}.observable.csv"
         _write_csv(
             ctx.path(name),
@@ -199,32 +219,11 @@ def _task_ensemble(ctx: _RunContext) -> tuple[list, int]:
 
 
 def _task_equivalence(ctx: _RunContext) -> tuple[list, int]:
-    v = ctx.config.values
-    t = v["equivalence.t"] if v["equivalence.t"] is not None else v["run.t_end"]
-    m = v["equivalence.M"] if v["equivalence.M"] is not None else ctx.n_traj
-    rep = weighted_equivalence_check(
-        ctx.model,
-        ctx.x0,
-        t,
-        m,
-        ctx.base_seed,
-        ctx.number_op,
-        dt=ctx.dt,
-        threads=ctx.threads,
-    )
-    rows = [
-        (
-            rep.t,
-            rep.lhs.real,
-            rep.rhs.real,
-            abs(rep.lhs - rep.rhs),
-            rep.lhs_stderr,
-            rep.rhs_stderr,
-            rep.combined_stderr,
-            rep.m_linear,
-            rep.m_nonlinear,
-        )
-    ]
+    lin, non = ctx.ensemble("linear"), ctx.ensemble("nonlinear")
+    rep = equivalence_report(lin.obs[:, -1], lin.norm_sq[:, -1], non.obs[:, -1], ctx.grid.t_end)
+    sides = (rep.lhs.real, rep.rhs.real, rep.gap)
+    stderrs = (rep.lhs_stderr, rep.rhs_stderr, rep.combined_stderr)
+    rows = [(rep.t, *sides, *stderrs, rep.m_linear, rep.m_nonlinear)]
     _write_csv(
         ctx.path("equivalence.summary.csv"),
         [
@@ -245,8 +244,7 @@ def _task_equivalence(ctx: _RunContext) -> tuple[list, int]:
 
 def _task_ehrenfest(ctx: _RunContext) -> tuple[list, int]:
     ops = build_fock_ops(ctx.model.space)
-    rho0 = DensityMatrix.from_pure(ctx.x0)
-    fam = solve_master(ctx.model, rho0, ctx.grid)
+    fam = ctx.master
     q_t = np.einsum("ij,tji->t", ops.q.matrix, fam.values).real
     p_t = np.einsum("ij,tji->t", ops.p.matrix, fam.values).real
     mass = ctx.config.values["model.mass"]
@@ -271,17 +269,8 @@ def _task_ehrenfest(ctx: _RunContext) -> tuple[list, int]:
 
 
 def _task_regularity(ctx: _RunContext) -> tuple[list, int]:
-    kind = "nonlinear" if ctx.kind in ("nonlinear", "both") else "linear"
-    batch = run_ensemble(
-        ctx.model,
-        point_sampler(ctx.x0),
-        ctx.grid,
-        kind,
-        ctx.n_traj,
-        ctx.seed_for(kind),
-        threads=ctx.threads,
-    )
-    trace = regularity_trace(batch)
+    ens = ctx.ensemble("nonlinear" if ctx.kind in ("nonlinear", "both") else "linear")
+    trace = trace_from_moments(ctx.grid.save_times, ens.c_moment, ens.tail)
     rows = list(
         zip(
             trace.times,
@@ -296,7 +285,7 @@ def _task_regularity(ctx: _RunContext) -> tuple[list, int]:
         ["t", "c_moment_mean", "c_moment_stderr", "tail_mass", "truncation_unreliable"],
         rows,
     )
-    return ["regularity.trace.csv"], len(batch.faults)
+    return ["regularity.trace.csv"], len(ens.faults)
 
 
 def _task_dissipativity(ctx: _RunContext) -> tuple[list, int]:
@@ -339,7 +328,7 @@ def _task_stationary(ctx: _RunContext) -> tuple[list, int]:
         sample_stride=v["stationary.stride"],
         n_traj=m,
         base_seed=ctx.base_seed,
-        dt=ctx.dt,
+        dt=ctx.grid.dt,
         threads=ctx.threads,
     )
     _write_csv(

@@ -8,13 +8,13 @@ stationarity itself, measured as the trace norm of the master-equation
 generator applied to the estimate.
 
 Per-trajectory quantities (window-mean dyad, reference moment, occupation
-moments per window half) are accumulated in a streaming fashion so memory
-stays O(M d^2) regardless of window length, and the cross-trajectory
-reduction is the same index-keyed pairwise tree the ensemble module uses, so
-results do not depend on the thread count.  Standard errors are batch means
-over trajectories: each trajectory's window average is one batch, which
-sidesteps the within-trajectory autocorrelation that a naive time-series
-stderr would have to model.
+moments per window half) are folded from the saved states that
+``drive_ensemble`` hands over, one trajectory at a time, so memory stays
+O(M d^2) plus one trajectory's saves; the cross-trajectory reduction is the same
+index-keyed pairwise tree the ensemble module uses, so results do not depend
+on the thread count.  Standard errors are batch means over trajectories:
+each trajectory's window average is one batch, which sidesteps the
+within-trajectory autocorrelation a naive time-series stderr would model.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import FAULT_FRACTION_LIMIT, AggregateFaultError
-from .hilbert import DensityMatrix, ModelSpec, Op, lindbladian_apply
+from .ensemble import drive_ensemble, mean_and_stderr, point_sampler
+from .hilbert import DensityMatrix, ModelSpec, lindbladian_apply
 from .linalg import dagger, pairwise_sum, trace_norm
-from .noise import NoiseStream
 from .oracle import solve_master, spectral_gap
-from .sde import DEFAULT_DT, IntegrationFault, PureState, TimeGrid, propagate
+from .sde import DEFAULT_DT, PureState, TimeGrid
 
 DEFAULT_WINDOW = 20.0
 BURNIN_GAP_MULTIPLE = 5.0
@@ -88,15 +87,6 @@ def _stationary_certificate(model: ModelSpec) -> tuple[bool, str]:
     return False, f"no stationary criterion known for builder {builder!r}"
 
 
-def _batch_stats(vals: np.ndarray) -> tuple[float, float]:
-    m = vals.shape[0]
-    mean = float(pairwise_sum(vals) / m)
-    if m < 2:
-        return mean, 0.0
-    var = float(pairwise_sum((vals - mean) ** 2) / (m - 1))
-    return mean, math.sqrt(var / m)
-
-
 def estimate_stationary(
     model: ModelSpec,
     y0,
@@ -118,8 +108,6 @@ def estimate_stationary(
     """
     if window <= 0:
         raise ValueError("window must be positive")
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
     if burn_in is None:
         if model.dim > GAP_DIM_LIMIT:
             raise ValueError(
@@ -157,20 +145,13 @@ def estimate_stationary(
     c_means = np.zeros(n_traj)
     occ = np.zeros((n_traj, 2))  # window means of <N>, <N^2>
     occ_halves = np.zeros((n_traj, 2, 2))  # [traj, half, moment]
-    fault_mask = np.zeros(n_traj, dtype=bool)
-    faults_by_index: dict[int, tuple] = {}
 
-    def worker(i: int) -> None:
-        noise = NoiseStream(base_seed, i)
+    def reduce(i, block):
         dyad_acc = np.zeros((d, d), dtype=complex)
         c_acc = 0.0
         occ_acc = np.zeros((2, 2))
-
-        def on_save(si, t, vec, nrm):
-            nonlocal c_acc
-            j = si - n_burn  # 1 .. n_win inside the window
-            if j < 1:
-                return
+        for j in range(1, n_win + 1):  # save n_burn + j is the j-th inside the window
+            vec = block[n_burn + j]
             np.add(dyad_acc, np.multiply.outer(vec, vec.conj()), out=dyad_acc)
             cv = c @ vec
             c_acc += float(np.vdot(cv, cv).real)
@@ -178,54 +159,28 @@ def estimate_stationary(
             half = 0 if j <= n_half else 1
             occ_acc[half, 0] += float(probs @ levels)
             occ_acc[half, 1] += float(probs @ levels_sq)
-
-        try:
-            propagate(model, x0, grid, "nonlinear", noise, on_save)
-        except IntegrationFault as fault:
-            fault_mask[i] = True
-            faults_by_index[i] = (i, fault.step, fault.reason)
-            return
         dyads[i] = dyad_acc / n_win
         c_means[i] = c_acc / n_win
         occ_halves[i, 0] = occ_acc[0] / n_half
         occ_halves[i, 1] = occ_acc[1] / (n_win - n_half)
         occ[i] = occ_acc.sum(axis=0) / n_win
 
-    if threads == 1:
-        for i in range(n_traj):
-            worker(i)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(worker, range(n_traj)))
-
-    faults = [faults_by_index[i] for i in sorted(faults_by_index)]
-    if len(faults) > FAULT_FRACTION_LIMIT * n_traj:
-        raise AggregateFaultError(
-            f"{len(faults)} of {n_traj} trajectories faulted "
-            f"(limit {FAULT_FRACTION_LIMIT:.0%}); first: {faults[0]}"
-        )
+    fault_mask, faults, _ = drive_ensemble(
+        model, point_sampler(x0), grid, "nonlinear", n_traj, base_seed, reduce, threads=threads
+    )
     ok = ~fault_mask
     m_eff = int(ok.sum())
-    if m_eff == 0:
-        raise AggregateFaultError("every trajectory faulted")
 
     acc = pairwise_sum(dyads[ok], axis=0) / m_eff
     rho = 0.5 * (acc + dagger(acc))
     rho_inf = DensityMatrix(rho, expected_trace=1.0)
 
-    c_moment, c_stderr = _batch_stats(c_means[ok])
-    occ1, occ1_err = _batch_stats(occ[ok, 0])
-    occ2, occ2_err = _batch_stats(occ[ok, 1])
+    c_moment, c_stderr = mean_and_stderr(c_means[ok])
+    (occ1, occ2), (occ1_err, occ2_err) = mean_and_stderr(occ[ok])
 
-    half_delta = np.zeros(2)
-    half_stderr = np.zeros(2)
-    for k in range(2):
-        mean_a, err_a = _batch_stats(occ_halves[ok, 0, k])
-        mean_b, err_b = _batch_stats(occ_halves[ok, 1, k])
-        half_delta[k] = abs(mean_a - mean_b)
-        half_stderr[k] = math.hypot(err_a, err_b)
+    half_mean, half_err = mean_and_stderr(occ_halves[ok])  # [half, moment]
+    half_delta = np.abs(half_mean[0] - half_mean[1])
+    half_stderr = np.array([math.hypot(*half_err[:, k]) for k in range(2)])
 
     certified, reason = _stationary_certificate(model)
     return StationaryEstimate(

@@ -1,10 +1,13 @@
 """End-to-end runs through the CLI: artifacts, manifest, exit codes."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import qtraj.ensemble
+import qtraj.runner
 from qtraj.cli import main
 from qtraj.config import parse_config
 from qtraj.runner import execute
@@ -176,3 +179,87 @@ def test_csv_values_use_full_precision(tmp_path):
     assert float(cells[0]) == 0.0
     # norm_sq of the normalized start is exactly 1
     assert float(cells[3]) == 1.0
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_ensemble_is_integrated_once(tmp_path, monkeypatch):
+    text = SMALL_RUN.replace(
+        "run.tasks = master_oracle, heisenberg_oracle, duality, ensemble, regularity, dissipativity",
+        "run.tasks = ensemble, equivalence, regularity",
+    )
+    calls = _counting(monkeypatch, qtraj.ensemble, "propagate")
+    manifest = execute(parse_config(text), out_dir=str(tmp_path / "out"))
+    assert manifest.ok
+    # one linear and one nonlinear ensemble of run.M = 12 trajectories
+    assert len(calls) == 2 * 12
+    assert sorted(call[3] for call in calls) == ["linear"] * 12 + ["nonlinear"] * 12
+
+
+def test_each_oracle_flow_is_solved_once(tmp_path, monkeypatch):
+    text = """
+model.builder = monitored
+model.dim = 12
+model.mass = 1.0
+model.c = 0.5
+model.alpha = 0.3
+model.beta = 0.2
+run.base_seed = 0
+run.dt = 0.01
+run.t_end = 0.1
+run.save_every = 1
+run.initial = coherent:0.5
+run.tasks = master_oracle, heisenberg_oracle, duality, ehrenfest
+"""
+    masters = _counting(monkeypatch, qtraj.runner, "solve_master")
+    heisenbergs = _counting(monkeypatch, qtraj.runner, "solve_heisenberg")
+    manifest = execute(parse_config(text), out_dir=str(tmp_path / "out"))
+    assert manifest.ok
+    assert len(masters) == 1 and len(heisenbergs) == 1
+
+
+def test_run_holds_no_state_tensor_and_equivalence_reuses_the_ensembles(tmp_path):
+    m, dim, n_save = 32, 20, 1001
+    text = f"""
+model.builder = thermal
+model.dim = {dim}
+model.rate = 1.0
+model.nu = 0.5
+run.base_seed = 3
+run.kind = both
+run.M = {m}
+run.dt = 1e-3
+run.t_end = 1.0
+run.save_every = 1
+run.tasks = ensemble, equivalence, regularity
+"""
+    cfg = parse_config(text)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        manifest = execute(cfg, out_dir=str(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert manifest.ok
+    state_tensor_bytes = m * n_save * dim * 16
+    assert peak < state_tensor_bytes, f"peak {peak} B >= one state tensor {state_tensor_bytes} B"
+
+    def cells(name):
+        header, *rows = (out / name).read_text().splitlines()
+        return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+    (summary,) = cells("equivalence.summary.csv")
+    for side, kind in (("linear_side", "linear"), ("nonlinear_side", "nonlinear")):
+        assert summary[side] == cells(f"ensemble.{kind}.observable.csv")[-1]["obs_mean"]
