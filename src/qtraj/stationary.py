@@ -27,13 +27,12 @@ import numpy as np
 from .ensemble import drive_ensemble, mean_and_stderr, point_sampler
 from .hilbert import DensityMatrix, ModelSpec, lindbladian_apply
 from .linalg import dagger, pairwise_sum, trace_norm
-from .oracle import solve_master, spectral_gap
+from .oracle import GAP_DIM_LIMIT, solve_master, spectral_gap
 from .sde import DEFAULT_DT, PureState, TimeGrid
 
 DEFAULT_WINDOW = 20.0
 BURNIN_GAP_MULTIPLE = 5.0
 DEFAULT_STRIDE_STEPS = 10
-GAP_DIM_LIMIT = 32
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ from qtraj.hilbert import (
     ModelSpec,
     Op,
     build_fock_ops,
+    build_kerr_oscillator,
     build_thermal_oscillator,
+    coherent_state,
     fock_state,
     heisenberg_apply,
     lindbladian_apply,
@@ -39,9 +41,9 @@ def test_vectorizers_match_direct_application():
     rng = np.random.default_rng(10)
     for _ in range(4):
         m = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-        lhs = unvec(vectorize_lindbladian(model).matrix @ vec(m), 7)
+        lhs = unvec(vectorize_lindbladian(model) @ vec(m), 7)
         np.testing.assert_allclose(lhs, lindbladian_apply(model, m), atol=1e-12)
-        rhs = unvec(vectorize_heisenberg(model).matrix @ vec(m), 7)
+        rhs = unvec(vectorize_heisenberg(model) @ vec(m), 7)
         np.testing.assert_allclose(rhs, heisenberg_apply(model, m), atol=1e-12)
 
 
@@ -49,8 +51,8 @@ def test_heisenberg_vectorizer_is_adjoint():
     # <A, L(rho)> = <L*(A), rho> in the Hilbert-Schmidt pairing means the two
     # superoperator matrices are conjugate transposes of one another
     model = random_model(6, n_lindblads=3, seed=2)
-    s_master = vectorize_lindbladian(model).matrix
-    s_heis = vectorize_heisenberg(model).matrix
+    s_master = vectorize_lindbladian(model).toarray()
+    s_heis = vectorize_heisenberg(model).toarray()
     np.testing.assert_allclose(s_heis, s_master.conj().T, atol=1e-13)
 
 
@@ -106,20 +108,77 @@ def test_duality_over_random_models():
         assert duality_check(model, a, rho0, grid) < 1e-10
 
 
-def test_rk4_route_matches_exponential_route(monkeypatch):
+def test_generator_convention_guard(monkeypatch):
+    # a generator built under another stacking convention must not be
+    # exponentiated silently
+    model = random_model(6, n_lindblads=2, seed=1)
+    transposed = vectorize_lindbladian(model).T.tocsr()
+    monkeypatch.setattr(oracle_mod, "vectorize_lindbladian", lambda m: transposed)
+    grid = TimeGrid(t_end=0.1, dt=1e-2, save_every=10)
+    with pytest.raises(RuntimeError, match="operator form"):
+        solve_master(model, thermal_state(model.space, 0.5).matrix, grid)
+
+
+def _dense_flow(superop, start, grid):
+    """Reference family: powers of the dense exponential over one save interval."""
+    e_step = expm(superop.toarray() * (grid.save_every * grid.dt))
+    v = vec(start)
+    out = [start]
+    for _ in range(1, grid.n_save):
+        v = e_step @ v
+        out.append(unvec(v, start.shape[0]))
+    return np.array(out)
+
+
+def test_sparse_action_matches_dense_exponential():
     model = build_thermal_oscillator(FockSpace(12), rate=1.0, nu=0.5)
     rho0 = thermal_state(model.space, 0.2).matrix
     grid = TimeGrid(t_end=0.5, dt=1e-2, save_every=10)
-    exact = solve_master(model, rho0, grid)
-    monkeypatch.setattr(oracle_mod, "EXPM_DIM_LIMIT", 4)
-    forced = solve_master(model, rho0, grid)
-    assert np.max(np.abs(exact.values - forced.values)) < 1e-8
+    exact = _dense_flow(vectorize_lindbladian(model), rho0, grid)
+    assert np.max(np.abs(solve_master(model, rho0, grid).values - exact)) < 1e-8
     a = build_fock_ops(model.space).n.matrix
-    monkeypatch.undo()
-    exact_h = solve_heisenberg(model, a, grid)
-    monkeypatch.setattr(oracle_mod, "EXPM_DIM_LIMIT", 4)
-    forced_h = solve_heisenberg(model, a, grid)
-    assert np.max(np.abs(exact_h.values - forced_h.values)) < 1e-8
+    exact_h = _dense_flow(vectorize_heisenberg(model), a, grid)
+    assert np.max(np.abs(solve_heisenberg(model, a, grid).values - exact_h)) < 1e-8
+
+
+def test_stiff_kerr_past_dense_limit():
+    # the acceptance-04 Kerr coefficients at d=40: 2|G| + sum |L_k|^2 is ~5e4
+    model = build_kerr_oscillator(
+        FockSpace(40),
+        beta1=0.1,
+        beta2=0.2,
+        beta3=0.05,
+        alpha1=0.3,
+        alpha2=0.1,
+        alpha3=0.2,
+        alpha4=0.4,
+        alpha5=0.2,
+        alpha6=0.1,
+        p=4,
+    )
+    rho0 = DensityMatrix.from_pure(coherent_state(model.space, 0.5)).matrix
+    grid = TimeGrid(t_end=0.05, dt=0.01, save_every=1)
+    fam = solve_master(model, rho0, grid)  # raises if a density check fails
+    assert fam.values.shape == (6, 40, 40)
+    n_op = build_fock_ops(model.space).n.matrix
+    assert duality_check(model, n_op, rho0, grid) < 1e-10
+
+
+def test_oracle_ignores_numpy_global_rng():
+    # past |t(A - mu I)|_1 ~ 63 the exponential action estimates norms of
+    # powers with a randomized onenormest; thermal d=30 over t=1 has 84
+    model = build_thermal_oscillator(FockSpace(30), rate=1.0, nu=0.5)
+    rho0 = DensityMatrix.from_pure(fock_state(model.space, 1)).matrix
+    grid = TimeGrid(t_end=1.0, dt=1e-3, save_every=1)
+    saved = np.random.get_state()
+    try:
+        np.random.seed(0)
+        first = solve_master(model, rho0, grid).values
+        np.random.seed(1)
+        second = solve_master(model, rho0, grid).values
+    finally:
+        np.random.set_state(saved)
+    assert np.array_equal(first, second)
 
 
 def test_at_time_rejects_off_grid():
