@@ -1,9 +1,10 @@
 """Stochastic unraveling of Lindblad dynamics on truncated Fock spaces.
 
-Trajectory integrators for the linear and normalized stochastic Schrodinger
-equations, deterministic counter-based noise, dense master/Heisenberg
-reference solvers, ensemble estimation with thread-invariant reductions,
-regularity and dissipativity diagnostics, and stationary-state estimation.
+A block-batched trajectory integrator for the linear and normalized
+stochastic Schrodinger equations, deterministic counter-based noise, sparse
+master/Heisenberg reference solvers, ensemble estimation with
+block-invariant reductions, regularity and dissipativity diagnostics, and
+stationary-state estimation.
 """
 
 from .ensemble import (
@@ -55,15 +56,7 @@ from .regularity import (
     sample_c_regular,
     verify_trace_identity,
 )
-from .sde import (
-    IntegrationFault,
-    PureState,
-    TimeGrid,
-    Trajectory,
-    simulate_trajectory,
-    step_linear,
-    step_nonlinear,
-)
+from .sde import TimeGrid, propagate
 from .stationary import estimate_stationary, finite_time_drift, stationary_residual
 
 __version__ = "0.1.0"
@@ -75,14 +68,11 @@ __all__ = [
     "DensityMatrix",
     "EnsembleDensity",
     "FockSpace",
-    "IntegrationFault",
     "ModelSpec",
     "NoiseStream",
     "ObservableEstimate",
     "Op",
-    "PureState",
     "TimeGrid",
-    "Trajectory",
     "TrajectoryBatch",
     "build_fock_ops",
     "build_kerr_oscillator",
@@ -103,19 +93,17 @@ __all__ = [
     "mixture_sampler",
     "observable_mean",
     "point_sampler",
+    "propagate",
     "random_model",
     "reconstruct_density",
     "regularity_trace",
     "run_ensemble",
     "sample_c_regular",
     "semigroup_check",
-    "simulate_trajectory",
     "solve_heisenberg",
     "solve_master",
     "spectral_gap",
     "stationary_residual",
-    "step_linear",
-    "step_nonlinear",
     "thermal_state",
     "vectorize_heisenberg",
     "vectorize_lindbladian",

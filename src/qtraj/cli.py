@@ -26,7 +26,12 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="parse and validate the config, run nothing",
     )
-    run.add_argument("--threads", type=int, default=1, help="trajectory worker threads")
+    run.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility (must be >= 1); no effect on work or results",
+    )
     return parser
 
 

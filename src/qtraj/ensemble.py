@@ -1,12 +1,13 @@
 """Monte Carlo ensembles of trajectories and the estimators built on them.
 
-``drive_ensemble`` integrates the trajectories, applies the fault policy and
-hands each trajectory's saved states to a reduction the caller supplies;
-``run_ensemble`` is the reduction that keeps them all, indexed (trajectory,
-save time).  Every cross-trajectory reduction (density reconstruction,
-``mean_and_stderr``) runs over a fixed pairwise tree keyed by trajectory
-index, so results are bit-identical no matter how many threads computed the
-trajectories or in which order they finished.
+``drive_ensemble`` integrates the trajectories block by block, applies the
+fault policy and hands each save's states to a reduction the caller
+supplies; ``run_ensemble`` is the reduction that keeps them all, indexed
+(trajectory, save time).  The step kernel keeps every trajectory's bits
+independent of the block it runs in, and every cross-trajectory reduction
+(density reconstruction, ``mean_and_stderr``) runs over a fixed pairwise tree
+keyed by trajectory index, so results do not depend on how the ensemble is
+split into blocks.
 
 The mean dyad of linear trajectories estimates rho_t; the weighted check at
 the bottom compares the linear estimator |X|^2 <Xhat, f Xhat> with the
@@ -15,7 +16,6 @@ normalized estimator <Y, f Y>, which target the same number.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +23,13 @@ import numpy as np
 from .hilbert import DensityMatrix, ModelSpec, Op
 from .linalg import pairwise_sum
 from .noise import NoiseStream
-from .sde import IntegrationFault, TimeGrid, propagate
+from .sde import TimeGrid, propagate
 
 FAULT_FRACTION_LIMIT = 0.01
+# Trajectories stepped together: large enough to amortize the per-step
+# Python overhead, small enough that a step's (B, K+1, dim) work array stays
+# in cache.  Bits do not depend on it.
+BLOCK_SIZE = 256
 NORM_SQ_FLOOR = 1e-12
 
 
@@ -95,52 +99,39 @@ def drive_ensemble(
     n_traj: int,
     base_seed: int,
     reduce,
-    threads: int = 1,
 ) -> tuple[np.ndarray, list, np.ndarray]:
-    """Integrate ``n_traj`` independent trajectories, reducing each as it ends.
+    """Integrate ``n_traj`` independent trajectories, reducing every save.
 
     Trajectory i draws its noise from NoiseStream(base_seed, i) and its
-    initial state from initial_sampler(i); both are pure functions, so every
-    trajectory is independent of ``threads`` and of scheduling.
-    ``reduce(i, block)`` gets the (n_save, dim) saved states of each
-    unfaulted trajectory; under threads it runs concurrently, so it writes
-    only to slots owned by i.  More than 1% faults is an AggregateFaultError.
+    initial state from initial_sampler(i); both are pure functions, and the
+    kernel steps each row on its own, so every trajectory is independent of
+    the blocks of up to BLOCK_SIZE trajectories that are stepped together.
+    ``reduce(rows, save_index, states)`` gets the (len(rows), dim) states of
+    trajectories ``rows`` (a slice) at every save and writes only to their
+    slots; rows that fault are zero from their fault on and are masked
+    afterwards.  More than 1% faults is an AggregateFaultError.
 
     Returns (fault_mask, faults, drifts): faults as (index, step, reason) in
     index order, drifts each trajectory's mean pre-normalization norm drift.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     drifts = np.zeros(n_traj)
+    faults = []
+    for lo in range(0, n_traj, BLOCK_SIZE):
+        rows = slice(lo, min(lo + BLOCK_SIZE, n_traj))
+        ids = range(rows.start, rows.stop)
+        x0 = np.stack([np.asarray(initial_sampler(i), dtype=complex) for i in ids])
+        noise = [NoiseStream(base_seed, i) for i in ids]
+
+        def on_save(si, t, states):
+            reduce(rows, si, states)
+
+        drifts[rows], block_faults = propagate(model, x0, grid, kind, noise, on_save)
+        faults.extend((lo + r, step, reason) for r, step, reason in block_faults)
+
     fault_mask = np.zeros(n_traj, dtype=bool)
-    faults_by_index: dict[int, tuple] = {}
-
-    def worker(i: int) -> None:
-        x0 = np.asarray(initial_sampler(i), dtype=complex)
-        noise = NoiseStream(base_seed, i)
-        block = np.empty((grid.n_save, model.dim), dtype=complex)
-
-        def on_save(si, t, vec, nrm):
-            block[si] = vec
-
-        try:
-            drifts[i], _ = propagate(model, x0, grid, kind, noise, on_save)
-        except IntegrationFault as fault:
-            fault_mask[i] = True
-            faults_by_index[i] = (i, fault.step, fault.reason)
-            return
-        reduce(i, block)
-
-    if threads == 1:
-        for i in range(n_traj):
-            worker(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(worker, range(n_traj)))
-
-    faults = [faults_by_index[i] for i in sorted(faults_by_index)]
+    fault_mask[[i for i, _, _ in faults]] = True
     if len(faults) > FAULT_FRACTION_LIMIT * n_traj:
         raise AggregateFaultError(
             f"{len(faults)} of {n_traj} trajectories faulted "
@@ -156,21 +147,21 @@ def run_ensemble(
     kind: str,
     n_traj: int,
     base_seed: int,
-    threads: int = 1,
 ) -> TrajectoryBatch:
     """Simulate ``n_traj`` independent trajectories and keep every saved state.
 
     The (n_traj, n_save, dim) batch of ``drive_ensemble``'s trajectories;
-    faulted rows stay zero.
+    faulted rows are zero.
     """
     states = np.zeros((n_traj, grid.n_save, model.dim), dtype=complex)
 
-    def keep(i, block):
-        states[i] = block
+    def keep(rows, si, block):
+        states[rows, si] = block
 
     fault_mask, faults, drifts = drive_ensemble(
-        model, initial_sampler, grid, kind, n_traj, base_seed, keep, threads=threads
+        model, initial_sampler, grid, kind, n_traj, base_seed, keep
     )
+    states[fault_mask] = 0.0
     ok = ~fault_mask
     mean_drift = float(pairwise_sum(drifts[ok]) / ok.sum()) if kind == "nonlinear" else None
     return TrajectoryBatch(
@@ -206,7 +197,7 @@ def reconstruct_density(batch: TrajectoryBatch, t: float) -> EnsembleDensity:
 
 def quadratic_form(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
     """<psi_i, A psi_i> for every row, as a complex vector."""
-    return np.einsum("md,de,me->m", rows.conj(), a, rows, optimize=True)
+    return np.vecdot(rows, rows @ a.T)
 
 
 def mean_and_stderr(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +253,6 @@ def weighted_equivalence_check(
     base_seed: int,
     f_obs,
     dt: float = 1e-3,
-    threads: int = 1,
 ) -> EquivalenceReport:
     """Compare the weighted linear estimator with the normalized one.
 
@@ -280,8 +270,8 @@ def weighted_equivalence_check(
         raise ValueError(f"t={t} is not a multiple of dt={dt}")
     grid = TimeGrid(t_end=t, dt=dt, save_every=n_steps)
     sampler = point_sampler(x0)
-    lin = run_ensemble(model, sampler, grid, "linear", n_traj, base_seed, threads=threads)
-    non = run_ensemble(model, sampler, grid, "nonlinear", n_traj, base_seed + 1, threads=threads)
+    lin = run_ensemble(model, sampler, grid, "linear", n_traj, base_seed)
+    non = run_ensemble(model, sampler, grid, "nonlinear", n_traj, base_seed + 1)
     lin_rows = lin.states_at(t)
     return equivalence_report(
         quadratic_form(lin_rows, f),

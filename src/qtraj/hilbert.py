@@ -212,6 +212,7 @@ class ModelSpec:
         if not 0 <= self.interior_cutoff < space.dim:
             raise ValueError(f"interior_cutoff {self.interior_cutoff} outside [0, {space.dim})")
         self._stack_cache: np.ndarray | None = None
+        self._band_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -238,16 +239,36 @@ class ModelSpec:
         return len(self.lindblads)
 
     def op_stack(self) -> np.ndarray:
-        """Contiguous stack [G, L_1, .., L_K], shape (K+1, dim, dim).
-
-        Cached; integrators apply the whole stack with one matmul per step.
-        """
+        """Contiguous stack [G, L_1, .., L_K], shape (K+1, dim, dim). Cached."""
         if self._stack_cache is None:
             self._stack_cache = np.ascontiguousarray(
                 np.stack([self.G, *self.L]) if self.lindblads else self.G[None]
             )
             self._stack_cache.setflags(write=False)
         return self._stack_cache
+
+    def op_bands(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stack [G, L_1, .., L_K] as its nonzero diagonals. Cached.
+
+        Returns (offsets, bands) with bands of shape (n_offsets, K+1, dim):
+        bands[j, k, i] is entry (i, i + offsets[j]) of operator k, zero where
+        that column is outside the basis, so that
+        (A_k x)_i = sum_j bands[j, k, i] x_{i + offsets[j]}.  Offset 0 is
+        always present; a dense operator has all 2 dim - 1.
+        """
+        if self._band_cache is None:
+            stack = self.op_stack()
+            d = self.dim
+            offsets = [
+                o for o in range(1 - d, d) if o == 0 or np.any(np.diagonal(stack, o, 1, 2))
+            ]
+            bands = np.zeros((len(offsets), stack.shape[0], d), dtype=complex)
+            for j, o in enumerate(offsets):
+                rows = slice(0, d - o) if o >= 0 else slice(-o, d)
+                bands[j, :, rows] = np.diagonal(stack, o, 1, 2)
+            bands.setflags(write=False)
+            self._band_cache = (np.array(offsets), bands)
+        return self._band_cache
 
     def validate(self) -> None:
         """Raise if the GKSL structural invariants fail (builders call this)."""

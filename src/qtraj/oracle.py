@@ -102,9 +102,15 @@ def _propagate_family(gen, start: np.ndarray, grid: TimeGrid, apply_gen, check):
     mismatch = float(np.max(np.abs(gen @ v - vec(apply_gen(start)))))
     if mismatch > 1e-10 * float(np.max(abs(gen) @ np.abs(v))):
         raise RuntimeError(f"sparse generator disagrees with the operator form by {mismatch:.3e}")
-    flat = expm_multiply(
-        gen, v, start=0.0, stop=float(grid.save_times[-1]), num=n_save, endpoint=True
-    )
+    # expm_multiply's norm estimates draw from numpy's global RNG; a caller's
+    # stream must not depend on whether an oracle ran in between
+    rng_state = np.random.get_state()
+    try:
+        flat = expm_multiply(
+            gen, v, start=0.0, stop=float(grid.save_times[-1]), num=n_save, endpoint=True
+        )
+    finally:
+        np.random.set_state(rng_state)
     # row i of flat is vec(X_i); unvec is the Fortran-order reshape
     out = np.ascontiguousarray(flat.reshape(n_save, d, d).transpose(0, 2, 1))
     out[0] = start  # the saved datum is the datum itself, signed zeros included

@@ -4,9 +4,9 @@ Artifact rules: comma-delimited CSV with a mandatory header row, `\\n` line
 endings, floats at 17 significant digits (exact double round-trip).  Matrix
 dumps are `.mat.txt`: a `# dim=<d>` header then one `i,j,re,im` line per
 entry, row-major.  Given an identical config (and tool version), every
-numeric artifact is byte-identical across reruns and thread counts; the
-manifest is the one file excluded from that promise since it records wall
-times.
+numeric artifact is byte-identical across reruns (the thread count changes
+nothing); the manifest is the one file excluded from that promise since it
+records wall times.
 """
 
 from __future__ import annotations
@@ -102,14 +102,14 @@ _EnsembleScalars = namedtuple("_EnsembleScalars", "obs norm_sq c_moment tail fau
 class _RunContext:
     """Everything the tasks share, derived once from the config.
 
-    Ensembles and oracle flows are computed on first use and kept for the
-    rest of the run, so each is integrated or solved once.
+    Ensembles and oracle flows are computed on first use, so each is
+    integrated or solved once; ensembles are kept for the rest of the run,
+    and an oracle flow is dropped after the last task that reads it.
     """
 
-    def __init__(self, config: RunConfig, out_dir: str, threads: int):
+    def __init__(self, config: RunConfig, out_dir: str):
         self.config = config
         self.out_dir = out_dir
-        self.threads = threads
         self.model = build_model(config)
         self.x0 = initial_state(config, self.model.space)
         self.rho0 = DensityMatrix.from_pure(self.x0).matrix
@@ -133,14 +133,14 @@ class _RunContext:
             return self._ensembles[kind]
         obs, norm_sq, c_moment, tail = np.zeros((4, self.n_traj, self.grid.n_save))
 
-        def reduce(i, block):
-            obs[i] = quadratic_form(block, self.number_op).real
-            norm_sq[i] = (block.real**2 + block.imag**2).sum(axis=1)
-            c_moment[i], tail[i] = c_moment_and_tail(block, self.model.C)
+        def reduce(rows, si, states):
+            obs[rows, si] = quadratic_form(states, self.number_op).real
+            norm_sq[rows, si] = (states.real**2 + states.imag**2).sum(axis=1)
+            c_moment[rows, si], tail[rows, si] = c_moment_and_tail(states, self.model.C)
 
         seed, sampler = self.seed_for(kind), point_sampler(self.x0)
         fault_mask, faults, _ = drive_ensemble(
-            self.model, sampler, self.grid, kind, self.n_traj, seed, reduce, self.threads
+            self.model, sampler, self.grid, kind, self.n_traj, seed, reduce
         )
         ok = ~fault_mask
         ens = _EnsembleScalars(obs[ok], norm_sq[ok], c_moment[ok], tail[ok], faults)
@@ -154,6 +154,19 @@ class _RunContext:
     @cached_property
     def heisenberg(self) -> PropagatedFamily:
         return solve_heisenberg(self.model, self.number_op, self.grid)
+
+    def release_unread(self, pending) -> None:
+        """Drop each cached oracle flow that none of the ``pending`` tasks reads."""
+        for flow, readers in _FLOW_READERS.items():
+            if not readers.intersection(pending):
+                self.__dict__.pop(flow, None)
+
+
+# The tasks that read each cached oracle flow of _RunContext.
+_FLOW_READERS = {
+    "master": {"master_oracle", "duality", "ehrenfest"},
+    "heisenberg": {"heisenberg_oracle", "duality"},
+}
 
 
 def _norm_sq_stats(ens: _EnsembleScalars):
@@ -329,7 +342,6 @@ def _task_stationary(ctx: _RunContext) -> tuple[list, int]:
         n_traj=m,
         base_seed=ctx.base_seed,
         dt=ctx.grid.dt,
-        threads=ctx.threads,
     )
     _write_csv(
         ctx.path("stationary.summary.csv"),
@@ -412,25 +424,29 @@ def execute(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> 
 
     Task failures are caught, recorded in the manifest and do not stop later
     tasks; the caller decides the exit status from ``manifest.ok``.
+    ``threads`` is validated and has no effect: every trajectory block runs
+    in this thread, and the artifacts would not depend on it anyway.
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     out = out_dir if out_dir is not None else config.values["output.dir"]
     os.makedirs(out, exist_ok=True)
     digest = hashlib.sha256(config.canonical_text().encode()).hexdigest()
     manifest = RunManifest(config_sha256=digest, version=VERSION, out_dir=out)
-    ctx = _RunContext(config, out, threads)
-    for task in TASK_NAMES:
-        if task not in config.tasks:
-            continue
+    ctx = _RunContext(config, out)
+    tasks = [task for task in TASK_NAMES if task in config.tasks]
+    for n, task in enumerate(tasks):
         start = time.perf_counter()
         try:
             files, faults = _TASK_FNS[task](ctx)
         except Exception as exc:
             manifest.failures[task] = f"{type(exc).__name__}: {exc}"
+        else:
+            manifest.artifacts.extend(files)
+            manifest.fault_counts[task] = faults
+        finally:
             manifest.timings[task] = time.perf_counter() - start
-            continue
-        manifest.timings[task] = time.perf_counter() - start
-        manifest.artifacts.extend(files)
-        manifest.fault_counts[task] = faults
+            ctx.release_unread(tasks[n + 1 :])
     _write_manifest(manifest)
     return manifest
 

@@ -12,9 +12,14 @@ Gaussian increments eta_k (raw standard normals; sqrt(dt) is applied here):
 The linear flow keeps |x|^2 a martingale in expectation; the nonlinear flow
 is its norm-preserving companion.  The weak order of the scheme is one.
 
-Everything is deterministic given (model, initial state, grid, noise): the
-integrator carries no hidden state and consults the noise stream purely by
-step index.
+``propagate`` advances a block of B trajectories as one (B, d) array.  The
+operators [G, L_1..L_K] are applied through their nonzero diagonals
+(``ModelSpec.op_bands``), one elementwise multiply-add per diagonal, and
+every per-trajectory reduction runs along the last axis of its own row.  No
+step mixes rows, so a trajectory's bits do not depend on the block it runs
+in, on the block's size or on BLAS blocking.  Everything is deterministic
+given (model, initial states, grid, noise): the integrator carries no hidden
+state and consults each noise stream purely by step index.
 """
 
 from __future__ import annotations
@@ -27,49 +32,9 @@ import numpy as np
 DEFAULT_DT = 1e-3
 MAX_SAVE_POINTS = 1001
 NORM_FLOOR = 0.5
-
-
-class IntegrationFault(RuntimeError):
-    """A step produced a numerically unusable state."""
-
-    def __init__(self, reason: str, step: int | None = None, time: float | None = None):
-        self.reason = reason
-        self.step = step
-        self.time = time
-        where = f" at step {step}" if step is not None else ""
-        when = f" (t={time:.6g})" if time is not None else ""
-        super().__init__(f"{reason}{where}{when}")
-
-
-@dataclass(frozen=True)
-class PureState:
-    """State vector with its squared norm cached at construction."""
-
-    vec: np.ndarray
-    norm_sq: float
-    prenorm_drift: float | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.vec, dtype=complex)
-        object.__setattr__(self, "vec", v)
-        true_sq = float(np.vdot(v, v).real)
-        if abs(true_sq - self.norm_sq) > 1e-12 * max(1.0, true_sq):
-            raise ValueError(
-                f"cached norm_sq {self.norm_sq!r} disagrees with recomputation {true_sq!r}"
-            )
-
-    @classmethod
-    def from_vec(cls, vec: np.ndarray, prenorm_drift: float | None = None) -> "PureState":
-        v = np.asarray(vec, dtype=complex)
-        return cls(v, float(np.vdot(v, v).real), prenorm_drift)
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq)
-
-    @property
-    def dim(self) -> int:
-        return self.vec.shape[0]
+# Steps of noise fetched per stream at a time: bounds the (steps, B, K)
+# increment buffer whatever the run length.
+NOISE_CHUNK_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -121,174 +86,111 @@ class TimeGrid:
         return self.save_steps * self.dt
 
 
-@dataclass
-class Trajectory:
-    """One integrated path: states at save times plus norm bookkeeping."""
-
-    kind: str
-    grid: TimeGrid
-    saved_states: list
-    norm_history: list
-    mean_prenorm_drift: float | None = None
-    max_prenorm_drift: float | None = None
-
-    @property
-    def final_state(self) -> PureState:
-        return self.saved_states[-1][1]
-
-
-def _flat_stack(model) -> np.ndarray:
-    stack = model.op_stack()
-    k1, d, _ = stack.shape
-    return stack.reshape(k1 * d, d)
-
-
-def _linear_update(flat, d, x, dt, sqrt_dt, eta):
-    app = (flat @ x).reshape(-1, d)
-    return x + dt * app[0] + sqrt_dt * (eta @ app[1:])
-
-
-def _nonlinear_update(flat, d, y, dt, sqrt_dt, eta):
-    app = (flat @ y).reshape(-1, d)
-    m = (app[1:] @ y.conj()).real
-    drift = app[0] + m @ app[1:] - (0.5 * float(m @ m)) * y
-    diff = eta @ app[1:] - float(eta @ m) * y
-    return y + dt * drift + sqrt_dt * diff
-
-
-def step_linear(model, state: PureState, dt: float, increments: np.ndarray) -> PureState:
-    """One Euler-Maruyama step of the linear SDE.
-
-    ``increments`` are raw N(0,1) draws, one per noise channel.
-    """
-    eta = np.asarray(increments, dtype=float)
-    if eta.shape != (model.n_channels,):
-        raise ValueError(f"expected {model.n_channels} increments, got shape {eta.shape}")
-    d = model.dim
-    x = _linear_update(_flat_stack(model), d, state.vec, dt, math.sqrt(dt), eta)
-    nrm_sq = float(np.vdot(x, x).real)
-    if not math.isfinite(nrm_sq):
-        raise IntegrationFault("non-finite state after linear step")
-    return PureState(x, nrm_sq)
-
-
-def step_nonlinear(model, state: PureState, dt: float, increments: np.ndarray) -> PureState:
-    """One Euler-Maruyama step of the normalized SDE, followed by projection
-    back to the unit sphere.  The pre-normalization norm drift (|y'| - 1) is
-    recorded on the returned state.
-    """
-    eta = np.asarray(increments, dtype=float)
-    if eta.shape != (model.n_channels,):
-        raise ValueError(f"expected {model.n_channels} increments, got shape {eta.shape}")
-    d = model.dim
-    y = _nonlinear_update(_flat_stack(model), d, state.vec, dt, math.sqrt(dt), eta)
-    nrm_sq = float(np.vdot(y, y).real)
-    if not math.isfinite(nrm_sq):
-        raise IntegrationFault("non-finite state after nonlinear step")
-    nrm = math.sqrt(nrm_sq)
-    if nrm < NORM_FLOOR:
-        raise IntegrationFault(f"norm collapsed below {NORM_FLOOR}: {nrm:.3e}")
-    y = y / nrm
-    return PureState(y, float(np.vdot(y, y).real), prenorm_drift=nrm - 1.0)
-
-
-def _fetch_increments(noise, n_steps: int, n_channels: int) -> np.ndarray | None:
+def _increments(noise, start: int, n_steps: int, n_rows: int, n_channels: int) -> np.ndarray:
+    """Raw N(0,1) increments of steps [start, start + n_steps), shape (S, B, K)."""
     if n_channels == 0:
-        return np.zeros((n_steps, 0))
+        return np.zeros((n_steps, n_rows, 0))
     if noise is None:
         raise ValueError("a noise stream is required when the model has noise channels")
-    if hasattr(noise, "normals_block"):
-        block = np.asarray(noise.normals_block(0, n_steps, n_channels), dtype=float)
-    else:
-        block = np.stack([np.asarray(noise.normals(s, n_channels), float) for s in range(n_steps)])
-    if block.shape != (n_steps, n_channels):
-        raise ValueError(f"noise block has shape {block.shape}, expected {(n_steps, n_channels)}")
-    return block
+    if len(noise) != n_rows:
+        raise ValueError(f"expected {n_rows} noise streams, got {len(noise)}")
+    eta = np.empty((n_steps, n_rows, n_channels))
+    for r, stream in enumerate(noise):
+        block = np.asarray(stream.normals_block(start, n_steps, n_channels), dtype=float)
+        if block.shape != (n_steps, n_channels):
+            raise ValueError(
+                f"noise increments have shape {block.shape}, expected {(n_steps, n_channels)}"
+            )
+        eta[:, r] = block
+    return eta
 
 
-def propagate(model, x0: np.ndarray, grid: TimeGrid, kind: str, noise, on_save) -> tuple[float, float]:
-    """Drive one trajectory, invoking ``on_save(save_index, t, vec, norm)``.
+def propagate(model, x0: np.ndarray, grid: TimeGrid, kind: str, noise, on_save):
+    """Drive a block of B trajectories from the (B, d) initial states ``x0``.
 
-    The callback owns any copying or accumulation; the vector passed in is
-    not mutated afterwards.  Returns (mean, max) pre-normalization norm drift
-    for nonlinear runs, (0, 0) for linear ones.  This is the single code path
-    behind trajectory simulation, ensembles, and long-run averaging.
+    Row r draws its increments from ``noise[r]``, a stream with a
+    ``normals_block(step_start, n_steps, n_channels)`` method (``noise`` may
+    be None for a model without channels).  At every save point
+    ``on_save(save_index, t, states)`` gets the (B, d) states; the array is
+    not mutated afterwards.
+
+    A row whose state goes non-finite, or whose nonlinear norm falls below
+    NORM_FLOOR, faults: it is recorded and zeroed, and stays zero (so it is
+    finite and never faults again) without touching any other row.
+
+    Returns (drifts, faults): each row's mean pre-normalization norm drift
+    |y'| - 1 over the steps (zeros for linear runs), and the faults as
+    (row, step, reason) in row order.
     """
     if kind not in ("linear", "nonlinear"):
         raise ValueError(f"kind must be 'linear' or 'nonlinear', got {kind!r}")
     d = model.dim
-    x = np.asarray(x0, dtype=complex).copy()
-    if x.shape != (d,):
-        raise ValueError(f"initial state has shape {x.shape}, expected ({d},)")
-    k = model.n_channels
-    n_steps = grid.n_steps
-    dt = grid.dt
-    sqrt_dt = math.sqrt(dt)
-    flat = _flat_stack(model)
-    eta_block = _fetch_increments(noise, n_steps, k)
-    stride = grid.save_every
+    x = np.array(x0, dtype=complex)
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"initial states have shape {x.shape}, expected (B, {d})")
+    n_rows = x.shape[0]
     nonlinear = kind == "nonlinear"
     if nonlinear:
-        nrm0 = math.sqrt(float(np.vdot(x, x).real))
-        if abs(nrm0 - 1.0) > 1e-9:
-            raise ValueError(f"nonlinear runs need a unit initial state, |x0| = {nrm0!r}")
-    drift_sum = 0.0
-    drift_max = 0.0
-    save_index = 0
-    on_save(save_index, 0.0, x, math.sqrt(float(np.vdot(x, x).real)))
-    for step in range(n_steps):
-        eta = eta_block[step]
-        if nonlinear:
-            x = _nonlinear_update(flat, d, x, dt, sqrt_dt, eta)
-            nrm_sq = float(np.vdot(x, x).real)
-            if not math.isfinite(nrm_sq):
-                raise IntegrationFault("non-finite state", step=step, time=(step + 1) * dt)
-            nrm = math.sqrt(nrm_sq)
-            if nrm < NORM_FLOOR:
-                raise IntegrationFault(
-                    f"norm collapsed below {NORM_FLOOR}: {nrm:.3e}", step=step, time=(step + 1) * dt
-                )
-            drift = nrm - 1.0
-            drift_sum += drift
-            drift_max = max(drift_max, abs(drift))
-            x = x / nrm
-            nrm = 1.0
-        else:
-            x = _linear_update(flat, d, x, dt, sqrt_dt, eta)
-            nrm_sq = float(np.vdot(x, x).real)
-            if not math.isfinite(nrm_sq):
-                raise IntegrationFault("non-finite state", step=step, time=(step + 1) * dt)
-            nrm = math.sqrt(nrm_sq)
-        nxt = step + 1
-        if nxt % stride == 0:
-            save_index += 1
-            on_save(save_index, nxt * dt, x, nrm)
-    if nonlinear and n_steps:
-        return drift_sum / n_steps, drift_max
-    return 0.0, 0.0
+        nrm0 = np.sqrt(np.vecdot(x, x).real)
+        if np.any(np.abs(nrm0 - 1.0) > 1e-9):
+            raise ValueError(f"nonlinear runs need unit initial states, |x0| = {nrm0!r}")
+    k = model.n_channels
+    n_steps, stride, dt = grid.n_steps, grid.save_every, grid.dt
+    offsets, bands = model.op_bands()
+    # fold the step sizes in: [dt G, sqrt(dt) L_1, .., sqrt(dt) L_K]
+    scale = np.full((k + 1, 1), math.sqrt(dt))
+    scale[0] = dt
+    bands = bands * scale
+    w = int(np.abs(offsets).max())
+    padded = np.zeros((n_rows, d + 2 * w), dtype=complex)
+    windows = [slice(w + o, w + o + d) for o in offsets]
 
-
-def simulate_trajectory(model, initial, grid: TimeGrid, kind: str, noise) -> Trajectory:
-    """Integrate one trajectory and keep states at every save time.
-
-    ``initial`` may be a PureState or a raw vector; ``noise`` is consulted
-    only through step-indexed lookups, so the result is a pure function of
-    its arguments.  Stepper faults propagate with their step index attached.
-    """
-    x0 = initial.vec if isinstance(initial, PureState) else np.asarray(initial, dtype=complex)
-    saved = []
-    norms = []
-
-    def on_save(i, t, vec, nrm):
-        saved.append((t, PureState(vec.copy(), float(np.vdot(vec, vec).real))))
-        norms.append((t, nrm))
-
-    mean_drift, max_drift = propagate(model, x0, grid, kind, noise, on_save)
-    return Trajectory(
-        kind=kind,
-        grid=grid,
-        saved_states=saved,
-        norm_history=norms,
-        mean_prenorm_drift=mean_drift if kind == "nonlinear" else None,
-        max_prenorm_drift=max_drift if kind == "nonlinear" else None,
-    )
+    drift_sum = np.zeros(n_rows)
+    dead = np.zeros(n_rows, dtype=bool)
+    faults = []
+    on_save(0, 0.0, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, NOISE_CHUNK_STEPS):
+            chunk = _increments(noise, start, min(NOISE_CHUNK_STEPS, n_steps - start), n_rows, k)
+            for step, eta in enumerate(chunk, start):
+                padded[:, w : w + d] = x
+                # app[:, 0] = dt G x, app[:, k] = sqrt(dt) L_k x
+                app = bands[0] * padded[:, None, windows[0]]
+                for band, window in zip(bands[1:], windows[1:]):
+                    app += band * padded[:, None, window]
+                if nonlinear:
+                    # with m = sqrt(dt) m_k the step is
+                    # y + dt G y + sum_k (m + eta_k) sqrt(dt) L_k y - s y,
+                    # s = sum_k (m/2 + eta_k) m
+                    m = np.vecdot(x[:, None], app[:, 1:]).real
+                    s = np.vecdot(0.5 * m + eta, m)
+                    diffusion = ((m + eta)[:, :, None] * app[:, 1:]).sum(axis=1)
+                    x = x * (1.0 - s)[:, None] + app[:, 0] + diffusion
+                    nrm = np.sqrt(np.vecdot(x, x).real)
+                    if faults:
+                        nrm[dead] = 1.0  # dead rows stay zero
+                    if not (nrm.min() >= NORM_FLOOR and nrm.max() < math.inf):
+                        bad = ~((nrm >= NORM_FLOOR) & (nrm < math.inf))
+                        for r in np.flatnonzero(bad):
+                            reason = (
+                                "non-finite state"
+                                if not math.isfinite(nrm[r])
+                                else f"norm collapsed below {NORM_FLOOR}: {nrm[r]:.3e}"
+                            )
+                            faults.append((int(r), step, reason))
+                        dead |= bad
+                        x[bad] = 0.0
+                        nrm[bad] = 1.0
+                    drift_sum += nrm - 1.0
+                    x = x / nrm[:, None]
+                else:
+                    x = x + app[:, 0] + (eta[:, :, None] * app[:, 1:]).sum(axis=1)
+                    if not math.isfinite(np.vdot(x, x).real):
+                        bad = ~np.isfinite(np.vecdot(x, x).real)  # dead rows are zero
+                        faults.extend((int(r), step, "non-finite state") for r in np.flatnonzero(bad))
+                        dead |= bad
+                        x[bad] = 0.0
+                if (step + 1) % stride == 0:
+                    on_save((step + 1) // stride, (step + 1) * dt, x)
+    drift_sum[dead] = 0.0
+    return drift_sum / n_steps, sorted(faults)

@@ -8,11 +8,11 @@ stationarity itself, measured as the trace norm of the master-equation
 generator applied to the estimate.
 
 Per-trajectory quantities (window-mean dyad, reference moment, occupation
-moments per window half) are folded from the saved states that
-``drive_ensemble`` hands over, one trajectory at a time, so memory stays
-O(M d^2) plus one trajectory's saves; the cross-trajectory reduction is the same
-index-keyed pairwise tree the ensemble module uses, so results do not depend
-on the thread count.  Standard errors are batch means over trajectories:
+moments per window half) are accumulated at each save inside the window,
+for a whole block of trajectories at once, from the states that
+``drive_ensemble`` hands over, so memory stays O(M d^2); the cross-trajectory
+reduction is the same index-keyed pairwise tree the ensemble module uses, so
+results do not depend on how the trajectories are split into blocks.  Standard errors are batch means over trajectories:
 each trajectory's window average is one batch, which sidesteps the
 within-trajectory autocorrelation a naive time-series stderr would model.
 """
@@ -28,7 +28,7 @@ from .ensemble import drive_ensemble, mean_and_stderr, point_sampler
 from .hilbert import DensityMatrix, ModelSpec, lindbladian_apply
 from .linalg import dagger, pairwise_sum, trace_norm
 from .oracle import GAP_DIM_LIMIT, solve_master, spectral_gap
-from .sde import DEFAULT_DT, PureState, TimeGrid
+from .sde import DEFAULT_DT, TimeGrid
 
 DEFAULT_WINDOW = 20.0
 BURNIN_GAP_MULTIPLE = 5.0
@@ -95,9 +95,9 @@ def estimate_stationary(
     n_traj: int = 256,
     base_seed: int = 0,
     dt: float = DEFAULT_DT,
-    threads: int = 1,
 ) -> StationaryEstimate:
-    """Average |Y_t><Y_t| over [burn_in, burn_in + window] across n_traj paths.
+    """Average |Y_t><Y_t| over [burn_in, burn_in + window] across n_traj paths
+    started at the unit vector y0.
 
     burn_in defaults to 5 / (spectral gap) when the dimension admits the
     dense gap computation; for larger models it must be supplied.  burn_in
@@ -133,7 +133,7 @@ def estimate_stationary(
     n_half = n_win // 2
 
     d = model.dim
-    x0 = y0.vec if isinstance(y0, PureState) else np.asarray(y0, dtype=complex)
+    x0 = np.asarray(y0, dtype=complex)
     if abs(np.linalg.norm(x0) - 1.0) > 1e-10:
         raise ValueError("y0 must be a unit vector")
     c = model.C
@@ -141,32 +141,28 @@ def estimate_stationary(
     levels_sq = levels**2
 
     dyads = np.zeros((n_traj, d, d), dtype=complex)
-    c_means = np.zeros(n_traj)
-    occ = np.zeros((n_traj, 2))  # window means of <N>, <N^2>
-    occ_halves = np.zeros((n_traj, 2, 2))  # [traj, half, moment]
+    c_sums = np.zeros(n_traj)
+    occ_sums = np.zeros((n_traj, 2, 2))  # [traj, half, moment] sums of <N>, <N^2>
 
-    def reduce(i, block):
-        dyad_acc = np.zeros((d, d), dtype=complex)
-        c_acc = 0.0
-        occ_acc = np.zeros((2, 2))
-        for j in range(1, n_win + 1):  # save n_burn + j is the j-th inside the window
-            vec = block[n_burn + j]
-            np.add(dyad_acc, np.multiply.outer(vec, vec.conj()), out=dyad_acc)
-            cv = c @ vec
-            c_acc += float(np.vdot(cv, cv).real)
-            probs = vec.real**2 + vec.imag**2
-            half = 0 if j <= n_half else 1
-            occ_acc[half, 0] += float(probs @ levels)
-            occ_acc[half, 1] += float(probs @ levels_sq)
-        dyads[i] = dyad_acc / n_win
-        c_means[i] = c_acc / n_win
-        occ_halves[i, 0] = occ_acc[0] / n_half
-        occ_halves[i, 1] = occ_acc[1] / (n_win - n_half)
-        occ[i] = occ_acc.sum(axis=0) / n_win
+    def reduce(rows, si, states):
+        j = si - n_burn  # save n_burn + j is the j-th inside the window
+        if j < 1:
+            return
+        dyads[rows] += states[:, :, None] * states.conj()[:, None, :]
+        cv = states @ c.T
+        c_sums[rows] += (cv.real**2 + cv.imag**2).sum(axis=1)
+        probs = states.real**2 + states.imag**2
+        half = occ_sums[rows, 0 if j <= n_half else 1]
+        half[:, 0] += np.vecdot(probs, levels)
+        half[:, 1] += np.vecdot(probs, levels_sq)
 
     fault_mask, faults, _ = drive_ensemble(
-        model, point_sampler(x0), grid, "nonlinear", n_traj, base_seed, reduce, threads=threads
+        model, point_sampler(x0), grid, "nonlinear", n_traj, base_seed, reduce
     )
+    dyads /= n_win
+    c_means = c_sums / n_win
+    occ = occ_sums.sum(axis=1) / n_win
+    occ_halves = occ_sums / np.array([n_half, n_win - n_half])[None, :, None]
     ok = ~fault_mask
     m_eff = int(ok.sum())
 

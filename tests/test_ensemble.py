@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qtraj.ensemble
 from qtraj.ensemble import (
     AggregateFaultError,
     TrajectoryBatch,
@@ -30,13 +31,15 @@ def _small_setup():
     return model, grid, sampler
 
 
-def test_batch_is_byte_identical_across_threads():
+def test_batch_is_byte_identical_across_block_splits(monkeypatch):
     model, grid, sampler = _small_setup()
-    b1 = run_ensemble(model, sampler, grid, "nonlinear", 24, base_seed=5, threads=1)
-    b4 = run_ensemble(model, sampler, grid, "nonlinear", 24, base_seed=5, threads=4)
-    assert b1.states.tobytes() == b4.states.tobytes()
-    np.testing.assert_array_equal(b1.fault_mask, b4.fault_mask)
-    assert b1.mean_prenorm_drift == b4.mean_prenorm_drift
+    b1 = run_ensemble(model, sampler, grid, "nonlinear", 24, base_seed=5)
+    for block_size in (1, 5):
+        monkeypatch.setattr(qtraj.ensemble, "BLOCK_SIZE", block_size)
+        split = run_ensemble(model, sampler, grid, "nonlinear", 24, base_seed=5)
+        assert b1.states.tobytes() == split.states.tobytes()
+        np.testing.assert_array_equal(b1.fault_mask, split.fault_mask)
+        assert b1.mean_prenorm_drift == split.mean_prenorm_drift
 
 
 def test_batch_reproducible_and_seed_sensitive():

@@ -181,6 +181,24 @@ def test_oracle_ignores_numpy_global_rng():
     assert np.array_equal(first, second)
 
 
+def test_oracle_leaves_numpy_global_rng_untouched():
+    # the same model and horizon draw in onenormest; the caller's stream must
+    # continue as if no oracle had run
+    model = build_thermal_oscillator(FockSpace(30), rate=1.0, nu=0.5)
+    rho0 = DensityMatrix.from_pure(fock_state(model.space, 1)).matrix
+    grid = TimeGrid(t_end=1.0, dt=1e-3, save_every=100)
+    saved = np.random.get_state()
+    try:
+        np.random.seed(0)
+        want = np.random.rand()
+        np.random.seed(0)
+        solve_master(model, rho0, grid)
+        got = np.random.rand()
+    finally:
+        np.random.set_state(saved)
+    assert got == want
+
+
 def test_at_time_rejects_off_grid():
     model = build_thermal_oscillator(FockSpace(8), rate=1.0, nu=0.1)
     grid = TimeGrid(t_end=0.2, dt=1e-2, save_every=10)

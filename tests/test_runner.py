@@ -202,9 +202,10 @@ def test_each_ensemble_is_integrated_once(tmp_path, monkeypatch):
     calls = _counting(monkeypatch, qtraj.ensemble, "propagate")
     manifest = execute(parse_config(text), out_dir=str(tmp_path / "out"))
     assert manifest.ok
-    # one linear and one nonlinear ensemble of run.M = 12 trajectories
-    assert len(calls) == 2 * 12
-    assert sorted(call[3] for call in calls) == ["linear"] * 12 + ["nonlinear"] * 12
+    # one kernel call per ensemble: a linear and a nonlinear block of run.M = 12
+    assert len(calls) == 2
+    assert [call[1].shape for call in calls] == [(12, 8), (12, 8)]
+    assert sorted(call[3] for call in calls) == ["linear", "nonlinear"]
 
 
 def test_each_oracle_flow_is_solved_once(tmp_path, monkeypatch):
@@ -227,6 +228,43 @@ run.tasks = master_oracle, heisenberg_oracle, duality, ehrenfest
     manifest = execute(parse_config(text), out_dir=str(tmp_path / "out"))
     assert manifest.ok
     assert len(masters) == 1 and len(heisenbergs) == 1
+
+
+def test_oracle_flows_are_freed_after_their_last_reader(tmp_path, monkeypatch):
+    text = """
+model.builder = monitored
+model.dim = 12
+model.mass = 1.0
+model.c = 0.5
+model.alpha = 0.3
+model.beta = 0.2
+run.base_seed = 0
+run.dt = 0.01
+run.t_end = 0.1
+run.save_every = 1
+run.initial = coherent:0.5
+run.tasks = master_oracle, heisenberg_oracle, duality, ehrenfest, picard
+"""
+    picard = qtraj.runner._TASK_FNS["picard"]
+
+    def run(name):
+        held = []
+
+        def watched(ctx):
+            held.append(sorted({"master", "heisenberg"} & set(vars(ctx))))
+            return picard(ctx)
+
+        monkeypatch.setitem(qtraj.runner._TASK_FNS, "picard", watched)
+        assert execute(parse_config(text), out_dir=str(tmp_path / name)).ok
+        return held, _artifact_bytes(str(tmp_path / name))
+
+    held, freed = run("freed")
+    assert held == [[]]  # picard reads neither flow
+    every_task = {"master_oracle", "heisenberg_oracle", "duality", "ehrenfest", "picard"}
+    monkeypatch.setattr(qtraj.runner, "_FLOW_READERS", {"master": every_task, "heisenberg": every_task})
+    held, kept = run("kept")
+    assert held == [["heisenberg", "master"]]
+    assert freed == kept
 
 
 def test_run_holds_no_state_tensor_and_equivalence_reuses_the_ensembles(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qtraj.ensemble
 from qtraj.hilbert import (
     FockSpace,
     build_kerr_oscillator,
@@ -103,11 +104,12 @@ def test_interval_snapping():
     assert est.n_traj == 2
 
 
-def test_estimate_is_thread_independent():
+def test_estimate_is_block_split_independent(monkeypatch):
     model = build_thermal_oscillator(FockSpace(8), rate=1.0, nu=0.2, p=1)
     kwargs = dict(burn_in=1.0, window=2.0, n_traj=12, base_seed=5, dt=2e-3)
-    e1 = estimate_stationary(model, fock_state(model.space, 0), threads=1, **kwargs)
-    e4 = estimate_stationary(model, fock_state(model.space, 0), threads=4, **kwargs)
+    e1 = estimate_stationary(model, fock_state(model.space, 0), **kwargs)
+    monkeypatch.setattr(qtraj.ensemble, "BLOCK_SIZE", 5)
+    e4 = estimate_stationary(model, fock_state(model.space, 0), **kwargs)
     assert e1.rho_inf.matrix.tobytes() == e4.rho_inf.matrix.tobytes()
     assert e1.c_moment == e4.c_moment
     assert e1.occupation == e4.occupation
