@@ -54,7 +54,7 @@ def main(argv=None) -> int:
     if args.validate_only:
         print(f"config OK: tasks = {', '.join(config.tasks) or '(none)'}")
         return 0
-    manifest = execute(config, out_dir=args.out, threads=args.threads)
+    manifest = execute(config, out_dir=args.out)
     for name in manifest.artifacts:
         print(f"wrote {name}")
     if not manifest.ok:

@@ -211,7 +211,6 @@ class ModelSpec:
                 raise ValueError(f"operator {op.label!r} has dim {op.dim}, space has {space.dim}")
         if not 0 <= self.interior_cutoff < space.dim:
             raise ValueError(f"interior_cutoff {self.interior_cutoff} outside [0, {space.dim})")
-        self._stack_cache: np.ndarray | None = None
         self._band_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -238,15 +237,6 @@ class ModelSpec:
     def n_channels(self) -> int:
         return len(self.lindblads)
 
-    def op_stack(self) -> np.ndarray:
-        """Contiguous stack [G, L_1, .., L_K], shape (K+1, dim, dim). Cached."""
-        if self._stack_cache is None:
-            self._stack_cache = np.ascontiguousarray(
-                np.stack([self.G, *self.L]) if self.lindblads else self.G[None]
-            )
-            self._stack_cache.setflags(write=False)
-        return self._stack_cache
-
     def op_bands(self) -> tuple[np.ndarray, np.ndarray]:
         """The stack [G, L_1, .., L_K] as its nonzero diagonals. Cached.
 
@@ -257,7 +247,7 @@ class ModelSpec:
         always present; a dense operator has all 2 dim - 1.
         """
         if self._band_cache is None:
-            stack = self.op_stack()
+            stack = np.stack([self.G, *self.L])
             d = self.dim
             offsets = [
                 o for o in range(1 - d, d) if o == 0 or np.any(np.diagonal(stack, o, 1, 2))

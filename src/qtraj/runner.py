@@ -419,16 +419,12 @@ _TASK_FNS = {
 }
 
 
-def execute(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> RunManifest:
+def execute(config: RunConfig, out_dir: str | None = None) -> RunManifest:
     """Run the configured tasks in canonical order and write all artifacts.
 
     Task failures are caught, recorded in the manifest and do not stop later
     tasks; the caller decides the exit status from ``manifest.ok``.
-    ``threads`` is validated and has no effect: every trajectory block runs
-    in this thread, and the artifacts would not depend on it anyway.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     out = out_dir if out_dir is not None else config.values["output.dir"]
     os.makedirs(out, exist_ok=True)
     digest = hashlib.sha256(config.canonical_text().encode()).hexdigest()

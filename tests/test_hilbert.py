@@ -243,10 +243,17 @@ def test_model_spec_dimension_mismatch():
         ModelSpec(space, hamiltonian=Op(np.eye(5, dtype=complex), "H"), lindblads=())
 
 
-def test_op_stack_layout():
+def test_op_bands_layout():
     model = build_thermal_oscillator(FockSpace(8), rate=1.0, nu=0.3)
-    stack = model.op_stack()
-    assert stack.shape == (3, 8, 8)
+    offsets, bands = model.op_bands()
+    assert list(offsets) == [-1, 0, 1]
+    assert bands.shape == (3, 3, 8)
+    # bands[j, k, i] is entry (i, i + offsets[j]) of [G, L_1, L_2][k]
+    stack = np.zeros((3, 8, 8), dtype=complex)
+    for j, o in enumerate(offsets):
+        for i in range(max(0, -o), min(8, 8 - o)):
+            stack[:, i, i + o] = bands[j, :, i]
     np.testing.assert_array_equal(stack[0], model.G)
     np.testing.assert_array_equal(stack[1], model.L[0])
-    assert stack is model.op_stack()  # cached
+    np.testing.assert_array_equal(stack[2], model.L[1])
+    assert model.op_bands()[1] is bands  # cached

@@ -278,6 +278,62 @@ def test_picard_argument_validation():
         minimal_semigroup_picard(model, n_op, t=0.5, quad_points=9)
 
 
+def _rule_weights(j, h):
+    """{node: weight} of the order-4 rule for int_0^{j h}: composite Simpson
+    at even j, Simpson then the 3/8 rule on the last three intervals at odd
+    j >= 3, and the left-edge rule h (5 f0 + 8 f1 - f2) / 12 at j = 1."""
+    if j == 1:
+        return {0: 5 * h / 12, 1: 8 * h / 12, 2: -h / 12}
+    w = {}
+    tail = 3 if j % 2 else 0
+    for p in range(0, j - tail, 2):
+        for i, c in zip((p, p + 1, p + 2), (1, 4, 1)):
+            w[i] = w.get(i, 0.0) + c * h / 3
+    if tail:
+        for i, c in zip(range(j - 3, j + 1), (1, 3, 3, 1)):
+            w[i] = w.get(i, 0.0) + c * 3 * h / 8
+    return w
+
+
+def _picard_by_direct_sums(model, a, t, n_iters, quad_points):
+    """The Picard iterates with every node's integral summed afresh: O(q^2)
+    conjugations per level."""
+    q = quad_points | 1
+    h = t / (q - 1)
+    exps = {k: expm(model.G * (k * h)) for k in range(-1, q)}
+
+    def conj(k, x):
+        return exps[k].conj().T @ x @ exps[k]
+
+    current = base = [conj(j, a) for j in range(q)]
+    iterates = [base[-1]]
+    for _ in range(n_iters):
+        f = [sum(l.conj().T @ x @ l for l in model.L) for x in current]
+        current = [
+            base[j] + sum(w * conj(j - i, f[i]) for i, w in _rule_weights(j, h).items())
+            for j in range(q)
+        ]
+        iterates.append(current[-1])
+    return iterates
+
+
+@pytest.mark.parametrize("quad_points", [33, 34, 35, 36])
+@pytest.mark.parametrize(
+    "model",
+    [build_thermal_oscillator(FockSpace(8), rate=1.0, nu=0.3), random_model(6, 2)],
+    ids=["thermal8", "random6"],
+)
+def test_picard_running_sum_matches_direct_rule(model, quad_points):
+    # three levels: level 2 at t reads level 1 at every node, so the odd-node
+    # 3/8 tail and the j = 1 left-edge rule both reach the returned iterates
+    a = build_fock_ops(model.space).n.matrix
+    got = minimal_semigroup_picard(model, a, t=0.2, n_iters=3, quad_points=quad_points)
+    want = _picard_by_direct_sums(model, a, 0.2, 3, quad_points)
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
 def test_spectral_gap_of_thermal_model():
     # the slowest mode of the damped oscillator relaxes at rate/2
     model = build_thermal_oscillator(FockSpace(16), rate=1.0, nu=0.5)

@@ -159,7 +159,7 @@ def test_matrix_dump_roundtrip(tmp_path):
 def test_execute_api_and_config_hash(tmp_path):
     cfg = parse_config(SMALL_RUN)
     out = str(tmp_path / "direct")
-    manifest = execute(cfg, out_dir=out, threads=2)
+    manifest = execute(cfg, out_dir=out)
     assert manifest.ok
     assert len(manifest.config_sha256) == 64
     assert set(manifest.timings) == set(cfg.tasks)
